@@ -10,13 +10,15 @@
 //! This crate takes the middle path:
 //!
 //! - [`table::ShardedTable`] — a power-of-two array of cache-line-padded
-//!   shards, each a slab allocator of lock-word slots with a free list and
-//!   epoch-counted reuse. A key's slot exists only while somebody holds a
-//!   reference to it (a guard, a parked waiter, an eventcount handle);
-//!   detaching the last reference recycles the slot. Keys hash to shards
-//!   with the full-avalanche [`parking::futex::mix64`], and each table
-//!   embeds its own [`parking::futex::ParkingLot`] sized to the waiter
-//!   population, not the key population.
+//!   shards, each a slab allocator of lock-word slots that double as the
+//!   shard's key index: a live slot sits on a hash chain off a bucket
+//!   array, a free one on the free list. A key's slot exists only while
+//!   somebody holds a reference to it (a guard, a parked waiter, an
+//!   eventcount handle); detaching the last reference recycles the slot.
+//!   Keys hash to shards with the full-avalanche
+//!   [`parking::futex::mix64`], and each table embeds its own
+//!   [`parking::futex::ParkingLot`] sized to the waiter population, not
+//!   the key population.
 //! - [`lock::LockService`] — the front end: per-key mutex
 //!   ([`lock::LockService::lock`]), per-key eventcount
 //!   (`advance`/`await_at_least` with wraparound-safe sequencing), and a

@@ -3,11 +3,16 @@
 //!
 //! A slot is one `AtomicU64` the primitives treat as their futex word. Keys
 //! map to shards by masking the low bits of [`mix64`]`(key)`; each shard is
-//! a mutex-protected slab allocator — `key → slot` map, slot slabs at
-//! stable addresses, and a free list — so the table's footprint tracks the
-//! number of *currently attached* keys, not the key space. Attach/detach
-//! are the only operations that take the shard mutex; the hot path (CAS on
-//! the slot word, park, wake) never does.
+//! a mutex-protected slab allocator whose slots double as its index: a
+//! live slot carries its key and a link to the next slot of its hash
+//! chain, a power-of-two bucket array (picked by the high bits of the same
+//! hash) holds the chain heads, and a free slot reuses the link for the
+//! free list. Slots sit in slabs at stable addresses, so the table's
+//! footprint tracks the number of *currently attached* keys, not the key
+//! space, and an attach/detach writes only the shard header, one bucket
+//! head and the slot itself. Attach/detach are the only operations that
+//! take the shard mutex; the hot path (CAS on the slot word, park, wake)
+//! never does.
 //!
 //! The lifecycle rule that makes recycling sound: **every parked waiter
 //! holds a [`SlotRef`]**. A slot is freed only when its reference count
@@ -16,16 +21,15 @@
 //! ([`ParkingLot::wake_addr`] never dereferences), so even a waker racing
 //! the death of the last reference is sound — the worst a recycled address
 //! can cause is a spurious wake of the slot's next tenant, which futex
-//! discipline already tolerates. Each reuse bumps the slot's epoch; the
-//! epoch feeds [`TableStats`], where the stress suite checks that a
-//! million-key churn recycles a bounded slab population instead of growing
-//! one slot per key.
+//! discipline already tolerates. Each free-list pop counts as a reuse in
+//! [`TableStats`], where the stress suite checks that a million-key churn
+//! recycles a bounded slab population instead of growing one slot per key.
 
 use crate::telemetry::{FlightKind, ServiceMetrics};
 use parking::futex::{mix64, ParkingLot};
 use qsm::CachePadded;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shard locking that shrugs off poisoning: every critical section here
@@ -41,10 +45,14 @@ fn lock_shard(shard: &Mutex<ShardInner>) -> MutexGuard<'_, ShardInner> {
 /// time, at stable addresses (`Box<[Slot; SLAB_SLOTS]>` never moves).
 pub const SLAB_SLOTS: usize = 64;
 
+/// End of a hash chain or of the free list.
+const NIL: u32 = u32::MAX;
+
 /// What a key's slot is being used as. A key is bound to one kind for the
 /// lifetime of its slot; mixing primitives on one key is a caller bug the
 /// table reports by panicking rather than by corrupting a wait protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum SlotKind {
     /// Per-key mutex word (0 free / 1 held / 2 held+waiters).
     Mutex,
@@ -54,65 +62,162 @@ pub enum SlotKind {
     Barrier,
 }
 
-/// One lock word plus its reuse epoch. `#[repr(align(16))]` keeps slots
-/// from straddling lines; full cache-line padding per slot would defeat
-/// the point of slab-packing millions of mostly-idle words.
-#[repr(align(16))]
-struct Slot {
-    word: AtomicU64,
-    epoch: AtomicU64,
+impl SlotKind {
+    fn from_u8(kind: u8) -> Self {
+        [SlotKind::Mutex, SlotKind::Event, SlotKind::Barrier][kind as usize]
+    }
 }
 
+/// One lock word plus its key's index entry. Only `word` is used outside
+/// the shard mutex. The other fields are written only under it; they are
+/// `Relaxed` atomics because live `SlotRef`s hold shared references into
+/// the slab, which rules out `&mut` access to a slot. `#[repr(align(32))]`
+/// packs two slots per cache line without letting one straddle a line.
+#[repr(align(32))]
+struct Slot {
+    word: AtomicU64,
+    /// The key, while live.
+    key: AtomicU64,
+    /// Counted references; 0 while free.
+    refs: AtomicU32,
+    /// Next slot of the hash chain while live, of the free list while free.
+    next: AtomicU32,
+    /// `SlotKind as u8`, while live.
+    kind: AtomicU8,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
 impl Slot {
-    fn new() -> Self {
+    fn free(next: u32) -> Self {
         Slot {
             word: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
+            key: AtomicU64::new(0),
+            refs: AtomicU32::new(0),
+            next: AtomicU32::new(next),
+            kind: AtomicU8::new(0),
         }
     }
 }
 
-/// Map entry for an attached key. Reference counting happens entirely
-/// under the shard mutex, so plain integers suffice.
-struct Entry {
-    slot: u32,
-    refs: u32,
-    kind: SlotKind,
-}
-
-#[derive(Default)]
 struct ShardInner {
-    map: HashMap<u64, Entry>,
     // The Box is load-bearing: waiters park on raw slot addresses, so
     // slabs must not move when the Vec reallocates.
     #[allow(clippy::vec_box)]
     slabs: Vec<Box<[Slot; SLAB_SLOTS]>>,
-    free: Vec<u32>,
+    /// Hash-chain heads, indexed by the high bits of `mix64(key)`. Empty
+    /// until the first slab, then a power of two no smaller than the
+    /// capacity.
+    heads: Box<[u32]>,
+    /// Free-list head.
+    free: u32,
     live: usize,
     peak_live: usize,
     reuses: u64,
 }
 
 impl ShardInner {
-    /// Pops a free slot or grows a slab; returns the slot index.
-    fn allocate(&mut self) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.reuses += 1;
-            self.slot(idx).epoch.fetch_add(1, Ordering::SeqCst);
-            return idx;
+    fn new() -> Self {
+        ShardInner {
+            slabs: Vec::new(),
+            heads: Box::default(),
+            free: NIL,
+            live: 0,
+            peak_live: 0,
+            reuses: 0,
         }
-        let base = (self.slabs.len() * SLAB_SLOTS) as u32;
-        self.slabs
-            .push(Box::new(std::array::from_fn(|_| Slot::new())));
-        // Newest slot first; the rest join the free list.
-        for i in (1..SLAB_SLOTS as u32).rev() {
-            self.free.push(base + i);
-        }
-        base
     }
 
     fn slot(&self, idx: u32) -> &Slot {
         &self.slabs[idx as usize / SLAB_SLOTS][idx as usize % SLAB_SLOTS]
+    }
+
+    /// The bucket of a key hash: its top bits, which stay independent of
+    /// the low bits that picked the shard. Needs a non-empty `heads`.
+    fn bucket(&self, hash: u64) -> usize {
+        (hash >> (64 - self.heads.len().trailing_zeros())) as usize
+    }
+
+    /// The live slot holding `key`, or `NIL`.
+    fn find(&self, key: u64, hash: u64) -> u32 {
+        if self.heads.is_empty() {
+            return NIL;
+        }
+        let mut idx = self.heads[self.bucket(hash)];
+        while idx != NIL {
+            let slot = self.slot(idx);
+            if slot.key.load(Relaxed) == key {
+                break;
+            }
+            idx = slot.next.load(Relaxed);
+        }
+        idx
+    }
+
+    /// Pops a free slot or grows a slab; returns the slot index.
+    fn allocate(&mut self) -> u32 {
+        if self.free != NIL {
+            let idx = self.free;
+            self.free = self.slot(idx).next.load(Relaxed);
+            self.reuses += 1;
+            return idx;
+        }
+        let base = (self.slabs.len() * SLAB_SLOTS) as u32;
+        // The first slot is returned; the rest form the free list.
+        self.slabs.push(Box::new(std::array::from_fn(|i| {
+            Slot::free(if i + 1 < SLAB_SLOTS {
+                base + i as u32 + 1
+            } else {
+                NIL
+            })
+        })));
+        self.free = base + 1;
+        let capacity = self.slabs.len() * SLAB_SLOTS;
+        if self.heads.len() < capacity {
+            self.rehash((self.heads.len() * 2).max(SLAB_SLOTS));
+        }
+        base
+    }
+
+    /// Re-buckets every live slot into `len` chain heads. Slots never
+    /// move; only the heads and the chain links change.
+    fn rehash(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.heads, vec![NIL; len].into_boxed_slice());
+        for &head in old.iter() {
+            let mut idx = head;
+            while idx != NIL {
+                let slot = self.slot(idx);
+                let next = slot.next.load(Relaxed);
+                let b = self.bucket(mix64(slot.key.load(Relaxed)));
+                slot.next.store(self.heads[b], Relaxed);
+                self.heads[b] = idx;
+                idx = next;
+            }
+        }
+    }
+
+    /// Pushes slot `idx` on the front of its hash chain.
+    fn link(&mut self, idx: u32, hash: u64) {
+        let b = self.bucket(hash);
+        self.slot(idx).next.store(self.heads[b], Relaxed);
+        self.heads[b] = idx;
+    }
+
+    /// Unlinks live slot `idx` from its hash chain and frees it.
+    fn unlink(&mut self, idx: u32, hash: u64) {
+        let b = self.bucket(hash);
+        let next = self.slot(idx).next.load(Relaxed);
+        if self.heads[b] == idx {
+            self.heads[b] = next;
+        } else {
+            let mut prev = self.slot(self.heads[b]);
+            while prev.next.load(Relaxed) != idx {
+                prev = self.slot(prev.next.load(Relaxed));
+            }
+            prev.next.store(next, Relaxed);
+        }
+        self.slot(idx).next.store(self.free, Relaxed);
+        self.free = idx;
     }
 }
 
@@ -167,7 +272,7 @@ impl ShardedTable {
         let n = shards.next_power_of_two();
         ShardedTable {
             shards: (0..n)
-                .map(|_| CachePadded::new(Mutex::new(ShardInner::default())))
+                .map(|_| CachePadded::new(Mutex::new(ShardInner::new())))
                 .collect(),
             mask: n as u64 - 1,
             lot: ParkingLot::with_buckets(n.clamp(64, 4096)),
@@ -190,15 +295,11 @@ impl ShardedTable {
         &self.lot
     }
 
-    fn shard_index(&self, key: u64) -> usize {
-        (mix64(key) & self.mask) as usize
-    }
-
     /// The shard index `key` maps to. Exposed so multi-key acquirers can
     /// impose the table's canonical lock order (shard index, then key) and
     /// stay deadlock-free; see `AsyncLockService::lock_many`.
     pub fn shard_of(&self, key: u64) -> usize {
-        self.shard_index(key)
+        (mix64(key) & self.mask) as usize
     }
 
     /// Attaches to `key`'s slot, creating it if the key has no live slot,
@@ -211,63 +312,60 @@ impl ShardedTable {
     /// If the key is live with a different [`SlotKind`] — one key, one
     /// primitive.
     pub fn attach(&self, key: u64, kind: SlotKind) -> SlotRef<'_> {
-        let shard_idx = self.shard_index(key);
-        let mut inner = lock_shard(&self.shards[shard_idx]);
-        let slot_idx = match inner.map.get_mut(&key) {
-            Some(entry) => {
-                assert!(
-                    entry.kind == kind,
-                    "key {key:#x} is live as a {:?} slot; cannot attach it as a {kind:?}",
-                    entry.kind
-                );
-                entry.refs += 1;
-                entry.slot
-            }
-            None => {
-                let idx = inner.allocate();
-                inner.map.insert(
-                    key,
-                    Entry {
-                        slot: idx,
-                        refs: 1,
-                        kind,
-                    },
-                );
-                inner.live += 1;
-                inner.peak_live = inner.peak_live.max(inner.live);
-                idx
-            }
-        };
+        let hash = mix64(key);
+        // The same low bits as `shard_of`; the high bits pick the bucket.
+        let shard = (hash & self.mask) as usize;
+        let mut inner = lock_shard(&self.shards[shard]);
+        let mut idx = inner.find(key, hash);
+        if idx != NIL {
+            let slot = inner.slot(idx);
+            let live = slot.kind.load(Relaxed);
+            assert!(
+                live == kind as u8,
+                "key {key:#x} is live as a {:?} slot; cannot attach it as a {kind:?}",
+                SlotKind::from_u8(live)
+            );
+            slot.refs.store(slot.refs.load(Relaxed) + 1, Relaxed);
+        } else {
+            idx = inner.allocate();
+            let slot = inner.slot(idx);
+            slot.key.store(key, Relaxed);
+            slot.refs.store(1, Relaxed);
+            slot.kind.store(kind as u8, Relaxed);
+            inner.link(idx, hash);
+            inner.live += 1;
+            inner.peak_live = inner.peak_live.max(inner.live);
+        }
         // The slab box never moves and the slot stays allocated while this
         // reference is live, so the address is stable for the ref's
         // lifetime.
-        let word: *const AtomicU64 = &inner.slot(slot_idx).word;
+        let slot: *const Slot = inner.slot(idx);
         drop(inner);
         SlotRef {
             table: self,
-            shard: shard_idx,
+            slot,
             key,
-            word,
+            shard,
+            idx,
         }
     }
 
-    /// Drops one reference to `key`'s slot; the last drop resets the word
+    /// Drops one reference to `r`'s slot; the last drop resets the word
     /// and returns the slot to the shard's free list.
-    fn detach(&self, shard: usize, key: u64) {
+    fn detach(&self, r: &SlotRef<'_>) {
+        let shard = r.shard();
         let mut inner = lock_shard(&self.shards[shard]);
-        let entry = inner
-            .map
-            .get_mut(&key)
-            .expect("detach of a key with no live slot");
-        entry.refs -= 1;
-        if entry.refs == 0 {
-            let idx = entry.slot;
-            inner.map.remove(&key);
+        let slot = r.slot();
+        let refs = slot.refs.load(Relaxed) - 1;
+        slot.refs.store(refs, Relaxed);
+        if refs == 0 {
+            inner.unlink(r.idx, mix64(r.key));
             inner.live -= 1;
             // Reset for the next tenant. No waiter can be parked here (a
-            // parked waiter holds a reference), so a plain store suffices.
-            inner.slot(idx).word.store(0, Ordering::SeqCst);
-            inner.free.push(idx);
+            // parked waiter holds a reference), and the next tenant reads
+            // the word only after taking this shard's mutex, so a relaxed
+            // store suffices.
+            slot.word.store(0, Relaxed);
             self.metrics.count_slot_recycle(shard);
         }
     }
@@ -298,23 +396,29 @@ impl ShardedTable {
 /// last reference recycles the slot.
 pub struct SlotRef<'a> {
     table: &'a ShardedTable,
-    shard: usize,
+    slot: *const Slot,
     key: u64,
-    word: *const AtomicU64,
+    shard: usize,
+    idx: u32,
 }
 
-// The raw pointer targets a slab slot the table keeps allocated while this
-// reference is live; it is shared (&AtomicU64 semantics), never mutated
-// through &self except via atomics.
+// SAFETY: `table` is a shared reference to a `Sync` table; `key`, `shard`
+// and `idx` are plain values. `slot` targets a slab slot the table keeps
+// allocated while this reference is live; it is used only as `&Slot`, whose
+// fields are all atomics, so sharing or sending it across threads is sound.
 unsafe impl Send for SlotRef<'_> {}
 unsafe impl Sync for SlotRef<'_> {}
 
 impl SlotRef<'_> {
-    /// The slot's lock word.
-    pub fn word(&self) -> &AtomicU64 {
+    fn slot(&self) -> &Slot {
         // SAFETY: the slot outlives this reference (see type docs) and the
         // slab box holding it never moves.
-        unsafe { &*self.word }
+        unsafe { &*self.slot }
+    }
+
+    /// The slot's lock word.
+    pub fn word(&self) -> &AtomicU64 {
+        &self.slot().word
     }
 
     /// The key this slot serves.
@@ -339,7 +443,7 @@ impl SlotRef<'_> {
         if parked {
             self.table
                 .metrics
-                .flight(self.shard, FlightKind::Park, self.key);
+                .flight(self.shard(), FlightKind::Park, self.key);
         }
         parked
     }
@@ -353,7 +457,7 @@ impl SlotRef<'_> {
         if woken > 0 {
             self.table
                 .metrics
-                .flight(self.shard, FlightKind::Wake, self.key);
+                .flight(self.shard(), FlightKind::Wake, self.key);
         }
         woken
     }
@@ -372,7 +476,7 @@ impl SlotRef<'_> {
         if entry.is_some() {
             self.table
                 .metrics
-                .flight(self.shard, FlightKind::Park, self.key);
+                .flight(self.shard(), FlightKind::Park, self.key);
         }
         entry
     }
@@ -383,7 +487,7 @@ impl SlotRef<'_> {
     pub fn cancel_waiter(&self, entry: parking::futex::WaitEntry) -> bool {
         self.table
             .metrics
-            .flight(self.shard, FlightKind::Cancel, self.key);
+            .flight(self.shard(), FlightKind::Cancel, self.key);
         self.table.lot.cancel(entry)
     }
 }
@@ -391,31 +495,30 @@ impl SlotRef<'_> {
 impl Clone for SlotRef<'_> {
     fn clone(&self) -> Self {
         // Re-attach under the shard lock; the kind is already validated.
-        let mut inner = lock_shard(&self.table.shards[self.shard]);
-        inner
-            .map
-            .get_mut(&self.key)
-            .expect("cloning a ref to a freed slot")
-            .refs += 1;
+        let inner = lock_shard(&self.table.shards[self.shard()]);
+        let refs = &self.slot().refs;
+        refs.store(refs.load(Relaxed) + 1, Relaxed);
         drop(inner);
         SlotRef {
             table: self.table,
-            shard: self.shard,
+            slot: self.slot,
             key: self.key,
-            word: self.word,
+            shard: self.shard,
+            idx: self.idx,
         }
     }
 }
 
 impl Drop for SlotRef<'_> {
     fn drop(&mut self) {
-        self.table.detach(self.shard, self.key);
+        self.table.detach(self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn distinct_keys_get_distinct_words() {
@@ -514,5 +617,139 @@ mod tests {
         assert!(stats.capacity >= 200);
         drop(held);
         assert_eq!(table.stats().live, 0);
+    }
+
+    /// More than a slab's worth of keys in one shard forces a second slab
+    /// and a bucket-array resize while every ref is live; each key keeps
+    /// its word address and value through both.
+    #[test]
+    fn growing_past_a_slab_keeps_words_in_place() {
+        let table = ShardedTable::new(1);
+        let n = 3 * SLAB_SLOTS as u64 / 2;
+        let held: Vec<SlotRef> = (0..n).map(|k| table.attach(k, SlotKind::Mutex)).collect();
+        for r in &held {
+            r.word().store(r.key() * 3 + 1, Ordering::SeqCst);
+        }
+        {
+            let inner = lock_shard(&table.shards[0]);
+            assert_eq!(inner.slabs.len(), 2);
+            assert_eq!(inner.heads.len(), 2 * SLAB_SLOTS);
+        }
+        for r in &held {
+            let again = table.attach(r.key(), SlotKind::Mutex);
+            assert!(
+                std::ptr::eq(again.word(), r.word()),
+                "key {} moved",
+                r.key()
+            );
+            assert_eq!(again.word().load(Ordering::SeqCst), r.key() * 3 + 1);
+        }
+        assert_eq!(table.stats().live, n as usize);
+        drop(held);
+        let stats = table.stats();
+        assert_eq!((stats.live, stats.capacity), (0, 2 * SLAB_SLOTS));
+    }
+
+    /// Keys sharing one bucket: whichever of head, middle or tail detaches
+    /// first, the other two stay reachable with their values, and the
+    /// detached key comes back with its word reset to 0.
+    #[test]
+    fn colliding_keys_unlink_from_any_chain_position() {
+        let bucket = |key: u64| mix64(key) >> (64 - SLAB_SLOTS.trailing_zeros());
+        let keys: Vec<u64> = (0..).filter(|&k| bucket(k) == bucket(0)).take(3).collect();
+        // Chains push on the front: attaching in `keys` order makes the
+        // last key the head and the first the tail.
+        for (pos, &gone) in ["tail", "middle", "head"].iter().zip(&keys) {
+            let table = ShardedTable::new(1);
+            let held: Vec<SlotRef> = keys
+                .iter()
+                .map(|&k| table.attach(k, SlotKind::Event))
+                .collect();
+            {
+                let inner = lock_shard(&table.shards[0]);
+                let mut chain = vec![];
+                let mut idx = inner.heads[inner.bucket(mix64(keys[0]))];
+                while idx != NIL {
+                    chain.push(inner.slot(idx).key.load(Relaxed));
+                    idx = inner.slot(idx).next.load(Relaxed);
+                }
+                assert_eq!(chain, [keys[2], keys[1], keys[0]]);
+            }
+            for r in &held {
+                r.word().store(r.key() + 100, Ordering::SeqCst);
+            }
+            let mut held: Vec<SlotRef> = held.into_iter().filter(|r| r.key() != gone).collect();
+            for &k in &keys {
+                let r = table.attach(k, SlotKind::Event);
+                let expect = if k == gone { 0 } else { k + 100 };
+                assert_eq!(r.word().load(Ordering::SeqCst), expect, "{pos} detached");
+                held.push(r);
+            }
+            drop(held);
+            assert_eq!(table.stats().live, 0);
+        }
+    }
+
+    /// A kind mismatch panics before touching the shard: the existing
+    /// slot keeps its word and reference count, and the shard stays usable
+    /// through the poisoned mutex.
+    #[test]
+    fn kind_mismatch_leaves_the_shard_usable() {
+        let table = ShardedTable::new(1);
+        let a = table.attach(7, SlotKind::Mutex);
+        a.word().store(5, Ordering::SeqCst);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.attach(7, SlotKind::Barrier);
+        }))
+        .expect_err("a kind mismatch must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("live as a Mutex slot"), "{msg}");
+        let b = table.attach(7, SlotKind::Mutex);
+        assert_eq!(b.word().load(Ordering::SeqCst), 5);
+        assert_eq!(table.stats().live, 1);
+        drop((a, b));
+        // Two refs, two detaches: the failed attach counted no reference.
+        assert_eq!(table.stats().live, 0);
+        let c = table.attach(7, SlotKind::Barrier);
+        assert_eq!(c.word().load(Ordering::SeqCst), 0);
+    }
+
+    /// Four threads attaching, cloning and detaching overlapping keys on one
+    /// shard leave it drained, with capacity grown only when the free list
+    /// ran dry.
+    #[test]
+    fn concurrent_churn_on_one_shard_drains() {
+        let table = ShardedTable::new(1);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let table = &table;
+                s.spawn(move || {
+                    let mut x = t + 1;
+                    let mut held = Vec::new();
+                    for i in 0..20_000u64 {
+                        x = mix64(x);
+                        let r = table.attach(x % 200, SlotKind::Mutex);
+                        r.word().fetch_add(1, Ordering::Relaxed);
+                        if i % 3 == 0 {
+                            held.push(r.clone());
+                        }
+                        held.push(r);
+                        if held.len() > 40 {
+                            held.drain(..(x % 40) as usize);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = table.stats();
+        assert_eq!(stats.live, 0);
+        assert!(
+            stats.capacity <= stats.peak_live + SLAB_SLOTS,
+            "capacity {} past peak_live {} + one slab",
+            stats.capacity,
+            stats.peak_live
+        );
     }
 }
